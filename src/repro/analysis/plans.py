@@ -94,8 +94,10 @@ def verify_plan(plan, label: str = "plan") -> List[Finding]:
     loc = f"<plan:{label}>"
     findings: List[Finding] = []
     records = plan.records
-    keys: Dict[int, Any] = getattr(plan, "_buffer_keys", None) or {}
-    buffers: Dict[int, np.ndarray] = getattr(plan, "_planned_buffers", {})
+    # Read directly: a plan that stopped exposing these must fail here,
+    # not verify vacuously against empty maps.
+    keys: Dict[int, Any] = plan._buffer_keys
+    buffers: Dict[int, np.ndarray] = plan._planned_buffers
     last = _derive_last_uses(records)
     pinned = _derive_pinned(plan)
 

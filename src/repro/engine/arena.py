@@ -1,6 +1,6 @@
 """Pre-planned output buffers for compiled plans.
 
-Two planning modes share one :class:`Arena`:
+Each compiled plan owns one :class:`Arena`, planned in one of two modes:
 
 - **Training plans** give every graph slot its own persistent buffer
   (``reuse=False``).  Backward reads forward activations after the whole
@@ -11,14 +11,14 @@ Two planning modes share one :class:`Arena`:
   it, so later slots of the same shape/dtype reuse the storage.  Final
   outputs (the root and named taps) are pinned and never pooled.
 
-Arena keys are explicit tuples (``("slot", i)`` or ``("pool", n)``), so
-two plans compiled against the same arena can only collide when handed
-the same key on purpose.  Buffers are plain ``np.empty`` arrays; kernels
-own the contract of fully overwriting them.  Anything downstream that
-caches against array *identity* (the ``repro.quant.lowered`` GEMM
-operand cache) must also key on a version counter, because an arena
-deliberately serves the same ndarray object with new contents every
-replay — see ``LoweredModule._weight_operand``.
+Arena keys are explicit tuples (``("slot", i)`` or ``("pool", n)``);
+the arena lives and dies with its plan, so a dropped or retraced plan's
+buffers are freed with it.  Buffers are plain ``np.empty`` arrays; the
+ops' ``out=`` forwards own the contract of fully overwriting them.
+Anything downstream that caches against array *identity* (the
+``repro.quant.lowered`` GEMM operand cache) must also key on a version
+counter, because an arena deliberately serves the same ndarray object
+with new contents every replay — see ``LoweredModule._weight_operand``.
 """
 
 from __future__ import annotations

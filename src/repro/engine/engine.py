@@ -31,7 +31,6 @@ import numpy as np
 
 from ..nn import autograd
 from ..nn.tensor import Tensor
-from .arena import Arena
 from .graph import TraceError
 from .plan import Plan, PlanVerificationError, compile_plan
 from .tracer import Tracer, tracing
@@ -75,19 +74,11 @@ class EngineResult:
 class ExecutionEngine:
     """Trace-once/replay executor with an invalidating plan cache."""
 
-    def __init__(
-        self,
-        mode: str = "trace",
-        training: bool = True,
-        fuse: bool = True,
-        arena: Optional[Arena] = None,
-    ) -> None:
+    def __init__(self, mode: str = "trace", training: bool = True) -> None:
         if mode not in _MODES:
             raise ValueError(f"engine mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.training = training
-        self.fuse = fuse
-        self.arena = arena if arena is not None else Arena()
         self._plans: Dict[Hashable, Plan] = {}
         self._known: Set[Hashable] = set()
         self._vetoed: Set[Hashable] = set()
@@ -178,9 +169,7 @@ class ExecutionEngine:
             root, taps = eager_fn()
         try:
             graph = tracer.finalize(root, taps)
-            new_plan = compile_plan(
-                graph, training=self.training, arena=self.arena, fuse=self.fuse
-            )
+            new_plan = compile_plan(graph, training=self.training)
         except PlanVerificationError:
             # An AUD006 hazard in a plan that would have been replayed is
             # a planner bug, not an untraceable step — surface it rather

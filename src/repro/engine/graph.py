@@ -124,7 +124,8 @@ class Record:
     """One traced ``Function.apply`` call.
 
     ``ctx`` is the live Function instance created during the traced step;
-    replays re-run ``ctx.forward`` (overwriting its saved state) and, for
+    replays re-run ``ctx.forward`` (into an arena buffer via ``out=``
+    where the op takes one, overwriting its saved state) and, for
     grad-carrying nodes, ``ctx.backward`` in the captured schedule.
     """
 

@@ -8,41 +8,43 @@ Compilation has three stages:
    :mod:`repro.nn._ops.fused`.  The fused forward/backward run the exact
    constituent arithmetic in the original order, so bytes are preserved;
    fusion only removes dispatch and intermediate storage.
-2. **Buffer planning** — every planned op writes its output into an
-   :class:`~repro.engine.arena.Arena` buffer with ``out=``.  Training
-   plans keep one persistent buffer per slot (backward reads forward
-   activations); inference plans reuse freed buffers via a greedy
-   liveness scan.
+2. **Buffer planning** — every op whose forward takes ``out=`` (the
+   :class:`~repro.nn.autograd.Function` contract) writes its output into
+   an :class:`~repro.engine.arena.Arena` buffer owned by the plan.
+   Training plans keep one persistent buffer per slot (backward reads
+   forward activations); inference plans reuse freed buffers via a
+   greedy liveness scan.
 3. **Schedule compilation** — the forward becomes a flat list of
-   zero-argument closures; the backward becomes a precompiled entry list
-   that mirrors ``repro.nn.autograd.backward``'s reverse-topological
-   walk and its exact accumulation order (``existing + new``), minus the
-   per-step graph walk and validation.
+   zero-argument closures, each calling its record's own
+   ``ctx.forward`` (with ``out=buf`` where planned); the backward
+   becomes a precompiled entry list of ``ctx.backward`` calls that
+   mirrors ``repro.nn.autograd.backward``'s reverse-topological walk and
+   its exact accumulation order (``existing + new``), minus the per-step
+   graph walk and validation.
 
-Ops without a planned kernel fall back to re-running their recorded
-``ctx.forward`` — correct by construction, just unplanned.  Any
-compilation surprise raises :class:`PlanError` (a :class:`TraceError`),
-which the engine converts into a permanent eager fallback for that
-signature.
+There is one kernel per op: eager execution and replay run the same
+forward and backward.  A plan keeps its ctx objects across replays, so
+the scratch an op takes from ``Function.scratch`` (masks, im2col
+columns, conv/linear gradient buffers) is allocated once.  Ops without
+``out=`` (the view ops, ``LogSumExp``, ...) re-run their forward into a
+fresh array.  Any compilation surprise raises :class:`PlanError` (a
+:class:`TraceError`), which the engine converts into a permanent eager
+fallback for that signature.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+import functools
+import inspect
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ..nn._ops import conv as _conv
 from ..nn._ops import elementwise as _ew
-from ..nn._ops import matmul as _mm
-from ..nn._ops import reduce as _rd
 from ..nn._ops import shape as _sh
 from ..nn._ops.fused import FusedAddRelu, FusedMulAdd, FusedMulAddRelu
 from ..nn.autograd import _topological_order
 from ..nn.module import Parameter
-from ..quant import quantizer as _qz
 from .arena import Arena, plan_buffers
 from .graph import (
     ConstRef,
@@ -96,8 +98,6 @@ class ReplayResult:
 # Ops whose output may alias their input's storage; their input slots are
 # pinned out of the inference reuse pool.
 _VIEW_OPS = (_sh.Reshape, _sh.Transpose, _sh.GetItem)
-
-_plan_counter = [0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,11 @@ def _rewrite(records, fusions, dropped, root_slot, output_slots):
     return new_records, old_to_new[root_slot], new_outputs
 
 
-def _make_fused(op_cls, ctx_state, parents_source, args, out):
+def _make_fused(op_cls, parents, args, out):
+    """A fused record with a fresh ctx; its forward stashes the state."""
     ctx = op_cls()
-    for key, value in ctx_state.items():
-        setattr(ctx, key, value)
-    if parents_source is not None:
-        ctx.parents = parents_source[0]
-        ctx.needs_input_grad = parents_source[1]
+    if parents is not None:
+        ctx.parents, ctx.needs_input_grad = parents
         out._ctx = ctx
     return Record(op_cls, ctx, tuple(args), {}, out, out._ctx is not None)
 
@@ -191,38 +189,20 @@ def _fuse_records(records, root_slot, output_slots):
                 if inner.requires_grad != grad:
                     continue
                 if inner.op is _ew.Add and len(inner.args) == 2:
-                    state = {
-                        "a_shape": inner.ctx.a_shape,
-                        "b_shape": inner.ctx.b_shape,
-                        "mask": record.ctx.mask,
-                    }
-                    parents = (
-                        (inner.ctx.parents, inner.ctx.needs_input_grad)
-                        if grad
-                        else None
-                    )
-                    fusions[i] = _make_fused(
-                        FusedAddRelu, state, parents, inner.args, record.out
-                    )
-                    dropped.add(j)
+                    fused_op = FusedAddRelu
                 elif inner.op is FusedMulAdd:
-                    state = {
-                        "a": inner.ctx.a,
-                        "b": inner.ctx.b,
-                        "mul_shape": inner.ctx.mul_shape,
-                        "c_shape": inner.ctx.c_shape,
-                        "mask": record.ctx.mask,
-                        "_mul_dtype": inner.ctx._mul_dtype,
-                    }
-                    parents = (
-                        (inner.ctx.parents, inner.ctx.needs_input_grad)
-                        if grad
-                        else None
-                    )
-                    fusions[i] = _make_fused(
-                        FusedMulAddRelu, state, parents, inner.args, record.out
-                    )
-                    dropped.add(j)
+                    fused_op = FusedMulAddRelu
+                else:
+                    continue
+                parents = (
+                    (inner.ctx.parents, inner.ctx.needs_input_grad)
+                    if grad
+                    else None
+                )
+                fusions[i] = _make_fused(
+                    fused_op, parents, inner.args, record.out
+                )
+                dropped.add(j)
                 continue
             # mul → add (affine tail)
             if (
@@ -253,13 +233,6 @@ def _fuse_records(records, root_slot, output_slots):
                     len(inner.ctx.parents) != 2 or len(record.ctx.parents) != 2
                 ):
                     continue
-                state = {
-                    "a": inner.ctx.a,
-                    "b": inner.ctx.b,
-                    "mul_shape": inner.out.data.shape,
-                    "c_shape": record.ctx.b_shape,
-                    "_mul_dtype": inner.out.data.dtype,
-                }
                 parents = None
                 if grad:
                     parents = (
@@ -269,7 +242,6 @@ def _fuse_records(records, root_slot, output_slots):
                     )
                 fusions[i] = _make_fused(
                     FusedMulAdd,
-                    state,
                     parents,
                     (inner.args[0], inner.args[1], record.args[1]),
                     record.out,
@@ -288,7 +260,7 @@ def _fuse_records(records, root_slot, output_slots):
 # ---------------------------------------------------------------------------
 
 
-def _fetcher(ref, slots, inbox, symbox):
+def _fetcher(ref, slots, inbox):
     if isinstance(ref, (SlotRef, DataRef)):
         j = ref.index
         return lambda: slots[j]
@@ -301,384 +273,54 @@ def _fetcher(ref, slots, inbox, symbox):
     if isinstance(ref, ConstRef):
         arr = ref.array
         return lambda: arr
-    if isinstance(ref, SymbolRef):
-        name = ref.name
-        return lambda: symbox[name]
     value = ref
     return lambda: value
 
 
-def _generic_step(record, index, slots, fetchers, kwfetch):
+@functools.lru_cache(maxsize=None)
+def _takes_out(op) -> bool:
+    """Whether ``op``'s forward follows the ``out=`` contract."""
+    return "out" in inspect.signature(op.forward).parameters
+
+
+def _step(record, index, slots, inbox, symbox, buf):
+    """The replay closure of one record: its own ``ctx.forward``.
+
+    ``buf`` (an arena buffer, or None for ops without ``out=``) is bound
+    as the ``out`` keyword; literal kwargs are bound once, symbolic ones
+    (``SymbolRef``) are read from the replay's symbol bindings.
+    """
     fwd = record.ctx.forward
-    if not kwfetch:
-        if len(fetchers) == 1:
-            (fa,) = fetchers
-            def step():
-                slots[index] = fwd(fa())
-            return step
-        if len(fetchers) == 2:
-            fa, fb = fetchers
-            def step():
-                slots[index] = fwd(fa(), fb())
-            return step
+    fetchers = tuple(_fetcher(r, slots, inbox) for r in record.args)
+    static = {
+        k: v for k, v in record.kwargs.items() if not isinstance(v, SymbolRef)
+    }
+    symbolic = tuple(
+        (k, v.name) for k, v in record.kwargs.items()
+        if isinstance(v, SymbolRef)
+    )
+    if buf is not None:
+        static["out"] = buf
+    if symbolic:
         def step():
-            slots[index] = fwd(*[f() for f in fetchers])
+            kw = dict(static)
+            for key, name in symbolic:
+                kw[key] = symbox[name]
+            slots[index] = fwd(*[f() for f in fetchers], **kw)
         return step
-    items = tuple(kwfetch.items())
+    if len(fetchers) == 1:
+        (fa,) = fetchers
+        def step():
+            slots[index] = fwd(fa(), **static)
+        return step
+    if len(fetchers) == 2:
+        fa, fb = fetchers
+        def step():
+            slots[index] = fwd(fa(), fb(), **static)
+        return step
     def step():
-        slots[index] = fwd(
-            *[f() for f in fetchers], **{k: f() for k, f in items}
-        )
+        slots[index] = fwd(*[f() for f in fetchers], **static)
     return step
-
-
-def _build_planned(record, index, slots, fetchers, kwfetch, buf):
-    """Return a planned (out=) step for supported ops, else None."""
-    op = record.op
-    ctx = record.ctx
-    out = record.out.data
-
-    if op in (_ew.Add, _ew.Sub) and len(fetchers) == 2 and not kwfetch:
-        ufunc = np.add if op is _ew.Add else np.subtract
-        fa, fb = fetchers
-        def step():
-            ufunc(fa(), fb(), out=buf)
-            slots[index] = buf
-        return step
-
-    if op in (_ew.Mul, _ew.Div, _ew.Maximum) and len(fetchers) == 2 and not kwfetch:
-        ufunc = {_ew.Mul: np.multiply, _ew.Div: np.divide,
-                 _ew.Maximum: np.maximum}[op]
-        fa, fb = fetchers
-        def step():
-            a = fa()
-            b = fb()
-            ctx.a = a
-            ctx.b = b
-            ufunc(a, b, out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _ew.Neg and len(fetchers) == 1 and not kwfetch:
-        (fa,) = fetchers
-        def step():
-            np.negative(fa(), out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _ew.Identity and len(fetchers) == 1 and not kwfetch:
-        (fa,) = fetchers
-        def step():
-            np.copyto(buf, fa())
-            slots[index] = buf
-        return step
-
-    if op is _ew.Relu and len(fetchers) == 1 and not kwfetch:
-        (fa,) = fetchers
-        mask = np.empty(out.shape, dtype=bool)
-        def step():
-            a = fa()
-            np.greater(a, 0, out=mask)
-            ctx.mask = mask
-            np.multiply(a, mask, out=buf)
-            slots[index] = buf
-        return step
-
-    if op in (_ew.Exp, _ew.Sqrt, _ew.Tanh) and len(fetchers) == 1 and not kwfetch:
-        ufunc = {_ew.Exp: np.exp, _ew.Sqrt: np.sqrt, _ew.Tanh: np.tanh}[op]
-        (fa,) = fetchers
-        def step():
-            ufunc(fa(), out=buf)
-            ctx.out = buf
-            slots[index] = buf
-        return step
-
-    if op is _ew.Log and len(fetchers) == 1 and not kwfetch:
-        (fa,) = fetchers
-        def step():
-            a = fa()
-            ctx.a = a
-            np.log(a, out=buf)
-            slots[index] = buf
-        return step
-
-    if (
-        op is _ew.Pow
-        and len(fetchers) == 1
-        and set(kwfetch) == {"exponent"}
-        and not isinstance(record.kwargs["exponent"], SymbolRef)
-    ):
-        exponent = record.kwargs["exponent"]
-        (fa,) = fetchers
-        def step():
-            a = fa()
-            ctx.a = a
-            np.power(a, exponent, out=buf)
-            slots[index] = buf
-        return step
-
-    if op in (_rd.Sum, _rd.Mean) and len(fetchers) == 1:
-        axes = ctx.axes
-        keepdims = ctx.keepdims
-        count = ctx.count if op is _rd.Mean else None
-        (fa,) = fetchers
-        def step():
-            np.sum(fa(), axis=axes, keepdims=keepdims, out=buf)
-            if count is not None:
-                np.divide(buf, count, out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _mm.MatMul and len(fetchers) == 2 and not kwfetch:
-        a0, b0 = ctx.a, ctx.b
-        if a0.ndim < 2 or b0.ndim < 2:
-            return None
-        fa, fb = fetchers
-        def step():
-            a = fa()
-            b = fb()
-            ctx.a = a
-            ctx.b = b
-            np.matmul(a, b, out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _mm.Linear and ctx.x.ndim == 2:
-        fx, fw = fetchers[0], fetchers[1]
-        fbias = fetchers[2] if len(fetchers) > 2 else None
-        has_bias = ctx.has_bias and fbias is not None
-        def step():
-            x = fx()
-            w = fw()
-            ctx.x = x
-            ctx.weight = w
-            np.matmul(x, w.T, out=buf)
-            if has_bias:
-                np.add(buf, fbias(), out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _sh.Concat:
-        axis = ctx.axis
-        fs = tuple(fetchers)
-        def step():
-            np.concatenate([f() for f in fs], axis=axis, out=buf)
-            slots[index] = buf
-        return step
-
-    if op is _conv.Conv2d:
-        return _build_conv_forward(record, index, slots, fetchers, buf)
-
-    if op is FusedMulAdd:
-        fa, fb, fc = fetchers
-        tmp = np.empty(ctx.mul_shape, dtype=ctx._mul_dtype)
-        def step():
-            a = fa()
-            b = fb()
-            ctx.a = a
-            ctx.b = b
-            np.multiply(a, b, out=tmp)
-            np.add(tmp, fc(), out=buf)
-            slots[index] = buf
-        return step
-
-    if op is FusedAddRelu:
-        fa, fb = fetchers
-        mask = np.empty(out.shape, dtype=bool)
-        def step():
-            np.add(fa(), fb(), out=buf)
-            np.greater(buf, 0, out=mask)
-            ctx.mask = mask
-            np.multiply(buf, mask, out=buf)
-            slots[index] = buf
-        return step
-
-    if op is FusedMulAddRelu:
-        fa, fb, fc = fetchers
-        tmp = np.empty(ctx.mul_shape, dtype=ctx._mul_dtype)
-        mask = np.empty(out.shape, dtype=bool)
-        def step():
-            a = fa()
-            b = fb()
-            ctx.a = a
-            ctx.b = b
-            np.multiply(a, b, out=tmp)
-            np.add(tmp, fc(), out=buf)
-            np.greater(buf, 0, out=mask)
-            ctx.mask = mask
-            np.multiply(buf, mask, out=buf)
-            slots[index] = buf
-        return step
-
-    # Dynamic-range Eq. 10 fake-quant (straight-through backward): the
-    # range is recomputed from the live array each replay — the planned
-    # form stages Eq. 10 through the arena buffer instead of allocating
-    # four temporaries per call.  Stays bitwise: under NumPy's weak
-    # scalar promotion a float32 array op with a Python-float step runs
-    # in float32 either way, so staging through ``buf`` changes storage,
-    # not rounding.  Observer-driven ranges (non-None a_min/a_max) fall
-    # back to the generic step.
-    if (
-        op is _qz._FakeQuantSTE
-        and len(fetchers) == 1
-        and record.kwargs.get("a_min") is None
-        and record.kwargs.get("a_max") is None
-        and "bits" in kwfetch
-    ):
-        (fa,) = fetchers
-        fbits = kwfetch["bits"]
-        def step():
-            a = fa()
-            _quantize_into(a, buf, fbits())
-            slots[index] = buf
-        return step
-
-    if (
-        op is _qz._FakeQuantPerViewSTE
-        and len(fetchers) == 1
-        and "bits" in kwfetch
-        and not isinstance(record.kwargs.get("views"), SymbolRef)
-    ):
-        (fa,) = fetchers
-        fbits = kwfetch["bits"]
-        views = int(record.kwargs["views"])
-        if views < 1 or out.shape[0] % max(views, 1):
-            return None
-        chunk = out.shape[0] // views
-        spans = tuple(
-            slice(v * chunk, (v + 1) * chunk) for v in range(views)
-        )
-        def step():
-            a = fa()
-            bits = fbits()
-            if views == 1:
-                _quantize_into(a, buf, bits)
-            else:
-                for span in spans:
-                    _quantize_into(a[span], buf[span], bits)
-            slots[index] = buf
-        return step
-
-    return None
-
-
-def _quantize_into(a, buf, bits):
-    """Eq. 10 (`linear_quantize`) with dynamic range, staged into ``buf``."""
-    lo = float(a.min())
-    hi = float(a.max())
-    step = (hi - lo) / (2.0 ** bits - 1.0)
-    if step == 0.0 or not math.isfinite(step):
-        np.copyto(buf, a)
-        return
-    np.divide(a, step, out=buf)
-    np.round(buf, out=buf)
-    np.multiply(buf, step, out=buf)
-
-
-def _build_conv_forward(record, index, slots, fetchers, buf):
-    ctx = record.ctx
-    sh_, sw = ctx.stride
-    ph, pw = ctx.padding
-    groups = ctx.groups
-    n, c_in, h, w = ctx.x_shape
-    c_out, c_in_g, kh, kw = ctx.weight.shape
-    oh, ow = record.out.data.shape[2], record.out.data.shape[3]
-    dtype = ctx.weight.dtype
-    has_bias = ctx.has_bias
-
-    pad_buf = interior = None
-    if ph or pw:
-        # np.pad(mode="constant") == a pre-zeroed frame whose interior is
-        # overwritten every replay (the frame itself never changes).
-        pad_buf = np.zeros(ctx.padded_shape, dtype=dtype)
-        interior = pad_buf[:, :, ph : ph + h, pw : pw + w]
-    cols_buf = np.empty((n, groups, c_in_g * kh * kw, oh * ow), dtype=dtype)
-    cols6 = cols_buf.reshape(n, c_in, kh, kw, oh, ow)
-    out_mat = buf.reshape(n, groups, c_out // groups, oh * ow)
-    fx, fw = fetchers[0], fetchers[1]
-    fbias = fetchers[2] if len(fetchers) > 2 else None
-    bias_shape = (1, c_out, 1, 1)
-
-    def step():
-        x = fx()
-        weight = fw()
-        if pad_buf is not None:
-            np.copyto(interior, x)
-            xp = pad_buf
-        else:
-            xp = x
-        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::sh_, ::sw, :, :]
-        np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-        w_mat = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        np.matmul(w_mat[None], cols_buf, out=out_mat)
-        if has_bias:
-            np.add(buf, fbias().reshape(bias_shape), out=buf)
-        ctx.cols = cols_buf
-        ctx.weight = weight
-        slots[index] = buf
-
-    return step
-
-
-# ---------------------------------------------------------------------------
-# planned backward kernels
-# ---------------------------------------------------------------------------
-
-
-def _planned_conv_backward(ctx, out_shape):
-    n, c_out, oh, ow = out_shape
-    groups = ctx.groups
-    c_out_g = c_out // groups
-    c_in_g, kh, kw = ctx.weight.shape[1], ctx.weight.shape[2], ctx.weight.shape[3]
-    sh_, sw = ctx.stride
-    ph, pw = ctx.padding
-    h, w = ctx.x_shape[2], ctx.x_shape[3]
-    weight_shape = ctx.weight.shape
-    dtype = ctx.weight.dtype
-
-    gw_buf = np.empty((groups, c_out_g, c_in_g * kh * kw), dtype=dtype)
-    gcols_buf = np.empty((n, groups, c_in_g * kh * kw, oh * ow), dtype=dtype)
-    gx_pad = np.zeros(ctx.padded_shape, dtype=dtype)
-    gcols6 = gcols_buf.reshape(n, groups * c_in_g, kh, kw, oh, ow)
-    padded = bool(ph or pw)
-
-    def bwd(grad):
-        grad_mat = grad.reshape(n, groups, c_out_g, oh * ow)
-        np.einsum("ngop,ngkp->gok", grad_mat, ctx.cols, out=gw_buf)
-        grad_w = gw_buf.reshape(weight_shape)
-        w_mat = ctx.weight.reshape(groups, c_out_g, c_in_g * kh * kw)
-        np.matmul(np.swapaxes(w_mat, 1, 2)[None], grad_mat, out=gcols_buf)
-        gx_pad.fill(0)
-        for i in range(kh):
-            h_end = i + sh_ * oh
-            for j in range(kw):
-                w_end = j + sw * ow
-                gx_pad[:, :, i:h_end:sh_, j:w_end:sw] += gcols6[:, :, i, j]
-        grad_x = gx_pad[:, :, ph : ph + h, pw : pw + w] if padded else gx_pad
-        grads = [grad_x, grad_w]
-        if ctx.has_bias:
-            grads.append(grad.sum(axis=(0, 2, 3)))
-        return tuple(grads[: len(ctx.parents)])
-
-    return bwd
-
-
-def _planned_linear_backward(ctx, out_shape):
-    if ctx.x.ndim != 2 or len(out_shape) != 2:
-        return None
-    gx_buf = np.empty(ctx.x.shape, dtype=ctx.x.dtype)
-    gw_buf = np.empty(ctx.weight.shape, dtype=ctx.weight.dtype)
-
-    def bwd(grad):
-        np.matmul(grad, ctx.weight, out=gx_buf)
-        np.matmul(grad.T, ctx.x, out=gw_buf)
-        grads = [gx_buf, gw_buf]
-        if ctx.has_bias:
-            grads.append(grad.sum(axis=0))
-        return tuple(grads[: len(ctx.parents)])
-
-    return bwd
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +335,13 @@ class Plan:
     every replay, accumulating into ``Parameter.grad`` exactly as the
     eager engine does.  Inference plans validate parameter versions via
     :meth:`stale` so weight updates force a retrace (the spec'd
-    invalidation rule), and reuse output buffers across slots.
+    invalidation rule), and reuse output buffers across slots.  Each
+    plan owns its :attr:`arena`, so dropping a plan frees its buffers.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        training: bool,
-        arena: Optional[Arena] = None,
-        fuse: bool = True,
-    ) -> None:
+    def __init__(self, graph: Graph, training: bool, fuse: bool = True) -> None:
         self.training = training
-        self.arena = arena if arena is not None else Arena()
-        _plan_counter[0] += 1
-        self._plan_no = _plan_counter[0]
+        self.arena = Arena()
 
         records = list(graph.records)
         root_slot = graph.slot_of(graph.root)
@@ -745,61 +380,30 @@ class Plan:
     # -- compilation ------------------------------------------------------
     def _compile_forward(self) -> None:
         records = self.records
-        slots = self._slots
-        planned: Set[int] = set()
-        steps: List[Callable[[], None]] = []
-        # First pass: decide which slots can take planned (out=) kernels,
-        # so the liveness planner knows which slots own arena storage.
-        view_parents: Set[int] = set()
-        for record in records:
-            if record.op in _VIEW_OPS:
-                for ref in _ref_slots(record):
-                    view_parents.add(ref.index)
-        candidates: Set[int] = set()
+        # View outputs alias their input's storage: both stay out of the
+        # inference reuse pool, as do the buffers the replay hands back.
+        pinned = {self._root_slot, *self._output_slots.values()}
         for i, record in enumerate(records):
             if record.op in _VIEW_OPS:
-                continue
-            candidates.add(i)
-        pinned = set(range(len(records))) - candidates
-        pinned |= {self._root_slot}
-        pinned |= set(self._output_slots.values())
-        pinned |= view_parents
+                pinned.add(i)
+                pinned.update(ref.index for ref in _ref_slots(record))
         keys = plan_buffers(records, pinned, reuse=not self.training)
-        # Exposed for the AUD006 plan-aliasing verifier
+        # Read by the AUD006 plan-aliasing verifier
         # (repro.analysis.plans): the buffer assignment actually compiled
         # in, and which slots really write into arena storage.
         self._buffer_keys = dict(keys)
-        self._pinned_slots = frozenset(pinned)
         self._planned_buffers: Dict[int, np.ndarray] = {}
 
+        steps: List[Callable[[], None]] = []
         for i, record in enumerate(records):
-            fetchers = tuple(
-                _fetcher(r, slots, self._inbox, self._symbox)
-                for r in record.args
-            )
-            kwfetch = {
-                k: _fetcher(v, slots, self._inbox, self._symbox)
-                for k, v in record.kwargs.items()
-            }
-            step = None
-            if i in candidates:
-                out = record.out.data
-                buf = self.arena.buffer(
-                    (self._plan_no, keys[i]), out.shape, out.dtype
-                )
-                try:
-                    step = _build_planned(
-                        record, i, slots, fetchers, kwfetch, buf
-                    )
-                except Exception as exc:  # pragma: no cover - defensive
-                    raise PlanError(
-                        f"planned kernel for {record.op.__name__} failed: {exc}"
-                    )
-            if step is None:
-                step = _generic_step(record, i, slots, fetchers, kwfetch)
-            elif i in candidates:
+            buf = None
+            if _takes_out(record.op):
+                data = record.out.data
+                buf = self.arena.buffer(keys[i], data.shape, data.dtype)
                 self._planned_buffers[i] = buf
-            steps.append(step)
+            steps.append(
+                _step(record, i, self._slots, self._inbox, self._symbox, buf)
+            )
         self._steps = steps
 
     def _compile_backward(self, root) -> None:
@@ -807,19 +411,6 @@ class Plan:
         gids = {id(t): k for k, t in enumerate(order)}
         self._num_gids = len(order)
         self._root_gid = gids[id(root)]
-        # Planned backward kernels, keyed by ctx identity.
-        planned_bwd: Dict[int, Callable] = {}
-        for record in self.records:
-            if not record.requires_grad:
-                continue
-            ctx = record.ctx
-            bwd = None
-            if record.op is _conv.Conv2d:
-                bwd = _planned_conv_backward(ctx, record.out.data.shape)
-            elif record.op is _mm.Linear:
-                bwd = _planned_linear_backward(ctx, record.out.data.shape)
-            if bwd is not None:
-                planned_bwd[id(ctx)] = bwd
         entries: List[Tuple] = []
         for node in reversed(order):
             gid = gids[id(node)]
@@ -832,9 +423,10 @@ class Plan:
                         )
                     entries.append(("leaf", gid, node))
                 continue
-            bwd = planned_bwd.get(id(ctx), ctx.backward)
             parent_gids = tuple(gids[id(p)] for p in ctx.parents)
-            entries.append(("op", gid, bwd, parent_gids, ctx.needs_input_grad))
+            entries.append(
+                ("op", gid, ctx.backward, parent_gids, ctx.needs_input_grad)
+            )
         self._backward_entries = entries
 
     # -- validity ---------------------------------------------------------
@@ -897,7 +489,6 @@ class Plan:
 def compile_plan(
     graph: Graph,
     training: bool,
-    arena: Optional[Arena] = None,
     fuse: bool = True,
     verify: Optional[bool] = None,
 ) -> Plan:
@@ -911,7 +502,7 @@ def compile_plan(
     cost.
     """
     try:
-        plan = Plan(graph, training=training, arena=arena, fuse=fuse)
+        plan = Plan(graph, training=training, fuse=fuse)
     except TraceError:
         raise
     except Exception as exc:

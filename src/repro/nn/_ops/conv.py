@@ -34,24 +34,24 @@ def conv2d_output_shape(
     return oh, ow
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Return patches of shape (N, C, kh, kw, OH, OW) from padded input."""
+def _im2col(
+    x: np.ndarray, kh: int, kw: int, sh: int, sw: int, out: np.ndarray
+) -> np.ndarray:
+    """Copy the patches of padded ``x`` into ``out`` (N, C, kh, kw, OH, OW)."""
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::sh, ::sw, :, :]  # (N, C, OH, OW, kh, kw)
-    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    np.copyto(out, windows.transpose(0, 1, 4, 5, 2, 3))
+    return out
 
 
 def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, ...],
-    kh: int,
-    kw: int,
-    sh: int,
-    sw: int,
+    cols: np.ndarray, kh: int, kw: int, sh: int, sw: int, out: np.ndarray
 ) -> np.ndarray:
-    """Scatter-add patches (N, C, kh, kw, OH, OW) back to (N, C, H, W)."""
-    n, c, h, w = x_shape
-    out = np.zeros((n, c, h, w), dtype=cols.dtype)
+    """Scatter-add patches (N, C, kh, kw, OH, OW) into ``out`` (N, C, H, W).
+
+    ``out`` is zeroed first, so whatever it held is overwritten.
+    """
+    out.fill(0)
     oh, ow = cols.shape[4], cols.shape[5]
     for i in range(kh):
         h_end = i + sh * oh
@@ -64,10 +64,14 @@ def _col2im(
 class Conv2d(Function):
     """Grouped 2-D cross-correlation (deep-learning ``conv``)."""
 
-    def forward(self, x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
+    def forward(
+        self, x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1,
+        out=None,
+    ):
         self.stride, self.padding, self.groups = stride, padding, groups
         self.has_bias = bias is not None
         self.x_shape = x.shape
+        self.keep = keep = out is not None
         n, c_in, h, w = x.shape
         c_out, c_in_g, kh, kw = weight.shape
         if c_in != c_in_g * groups:
@@ -76,21 +80,34 @@ class Conv2d(Function):
                 f"{weight.shape} and groups={groups}"
             )
         ph, pw = padding
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-        self.padded_shape = x.shape
         oh, ow = conv2d_output_shape((h, w), (kh, kw), stride, padding)
+        if ph or pw:
+            # Zero padding: a zeroed frame whose interior is overwritten
+            # (a kept frame's border stays zero across replays).
+            xp = self.scratch(
+                keep, "padded", (n, c_in, h + 2 * ph, w + 2 * pw), x.dtype,
+                zeros=True,
+            )
+            xp[:, :, ph : ph + h, pw : pw + w] = x
+            x = xp
+        self.padded_shape = x.shape
 
-        cols = _im2col(x, kh, kw, *stride)  # (N, C_in, kh, kw, OH, OW)
-        cols = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
+        cols = self.scratch(
+            keep, "cols", (n, groups, c_in_g * kh * kw, oh * ow), x.dtype
+        )
+        _im2col(x, kh, kw, *stride, out=cols.reshape(n, c_in, kh, kw, oh, ow))
         w_mat = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        # (N, g, C_out/g, OH*OW)
-        out = np.matmul(w_mat[None], cols)
-        out = out.reshape(n, c_out, oh, ow)
+        if out is None:
+            out = np.empty(
+                (n, c_out, oh, ow), dtype=np.result_type(weight, cols)
+            )
+        # (N, g, C_out/g, OH*OW), written straight into the output.
+        np.matmul(
+            w_mat[None], cols,
+            out=out.reshape(n, groups, c_out // groups, oh * ow),
+        )
         if bias is not None:
-            # In place: `out` is freshly allocated by the matmul above, so
-            # adding the bias into it avoids a second (N, C, OH, OW) buffer.
-            out += bias.reshape(1, c_out, 1, 1)
+            np.add(out, bias.reshape(1, c_out, 1, 1), out=out)
         self.cols = cols
         self.weight = weight
         return out
@@ -103,31 +120,40 @@ class Conv2d(Function):
         c_in_g = self.weight.shape[1]
         sh, sw = self.stride
         ph, pw = self.padding
+        keep = self.keep
 
         grad_mat = grad.reshape(n, groups, c_out_g, oh * ow)
 
         # dL/dW: contract over batch and spatial positions.
-        grad_w = np.einsum("ngop,ngkp->gok", grad_mat, self.cols)
-        grad_w = grad_w.reshape(self.weight.shape)
+        k = c_in_g * kh * kw
+        grad_w = np.einsum(
+            "ngop,ngkp->gok", grad_mat, self.cols,
+            out=self.scratch(keep, "grad_w", (groups, c_out_g, k),
+                             np.result_type(grad, self.cols)),
+        ).reshape(self.weight.shape)
 
         # dL/dcols -> dL/dx via col2im.
-        w_mat = self.weight.reshape(groups, c_out_g, c_in_g * kh * kw)
-        grad_cols = np.matmul(np.swapaxes(w_mat, 1, 2)[None], grad_mat)
-        grad_cols = grad_cols.reshape(n, groups * c_in_g, kh, kw, oh, ow)
-        grad_x_padded = _col2im(
-            grad_cols, self.padded_shape, kh, kw, sh, sw
+        w_mat = self.weight.reshape(groups, c_out_g, k)
+        grad_cols = np.matmul(
+            np.swapaxes(w_mat, 1, 2)[None], grad_mat,
+            out=self.scratch(keep, "grad_cols", (n, groups, k, oh * ow),
+                             np.result_type(self.weight, grad)),
+        ).reshape(n, groups * c_in_g, kh, kw, oh, ow)
+        grad_x = _col2im(
+            grad_cols, kh, kw, sh, sw,
+            out=self.scratch(keep, "grad_x", self.padded_shape,
+                             grad_cols.dtype),
         )
         if ph or pw:
             h, w = self.x_shape[2], self.x_shape[3]
-            grad_x = grad_x_padded[:, :, ph : ph + h, pw : pw + w]
-        else:
-            grad_x = grad_x_padded
+            grad_x = grad_x[:, :, ph : ph + h, pw : pw + w]
 
         grads = [grad_x, grad_w]
         if self.has_bias:
             grads.append(grad.sum(axis=(0, 2, 3)))
         # The im2col buffer is the largest saved activation on deep models
         # (C_in * kh * kw * OH * OW floats per image); the engine calls
-        # backward once per node, so drop it as soon as the grads exist.
+        # backward once per node, so drop it as soon as the grads exist
+        # (a plan's ctx keeps its scratch copy for the next replay).
         self.cols = None
         return tuple(grads[: len(self.parents)])

@@ -8,9 +8,9 @@ from ..autograd import Function, unbroadcast
 
 
 class Add(Function):
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a_shape, self.b_shape = np.shape(a), np.shape(b)
-        return a + b
+        return np.add(a, b, out=out)
 
     def backward(self, grad):
         grads = []
@@ -27,9 +27,9 @@ class Add(Function):
 
 
 class Sub(Function):
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a_shape, self.b_shape = np.shape(a), np.shape(b)
-        return a - b
+        return np.subtract(a, b, out=out)
 
     def backward(self, grad):
         grads = [unbroadcast(grad, self.a_shape)]
@@ -50,9 +50,9 @@ class RSub(Function):
 
 
 class Mul(Function):
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a, self.b = a, b
-        return a * b
+        return np.multiply(a, b, out=out)
 
     def backward(self, grad):
         grads = [unbroadcast(grad * self.b, np.shape(self.a))]
@@ -62,9 +62,9 @@ class Mul(Function):
 
 
 class Div(Function):
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a, self.b = a, b
-        return a / b
+        return np.divide(a, b, out=out)
 
     def backward(self, grad):
         grads = [unbroadcast(grad / self.b, np.shape(self.a))]
@@ -87,8 +87,8 @@ class RDiv(Function):
 
 
 class Neg(Function):
-    def forward(self, a):
-        return -a
+    def forward(self, a, out=None):
+        return np.negative(a, out=out)
 
     def backward(self, grad):
         return (-grad,)
@@ -97,17 +97,17 @@ class Neg(Function):
 class Pow(Function):
     """tensor ** exponent for a constant scalar exponent."""
 
-    def forward(self, a, exponent):
+    def forward(self, a, exponent, out=None):
         self.a, self.exponent = a, exponent
-        return a ** exponent
+        return np.power(a, exponent, out=out)
 
     def backward(self, grad):
         return (grad * self.exponent * self.a ** (self.exponent - 1),)
 
 
 class Exp(Function):
-    def forward(self, a):
-        self.out = np.exp(a)
+    def forward(self, a, out=None):
+        self.out = np.exp(a, out=out)
         return self.out
 
     def backward(self, grad):
@@ -115,17 +115,17 @@ class Exp(Function):
 
 
 class Log(Function):
-    def forward(self, a):
+    def forward(self, a, out=None):
         self.a = a
-        return np.log(a)
+        return np.log(a, out=out)
 
     def backward(self, grad):
         return (grad / self.a,)
 
 
 class Sqrt(Function):
-    def forward(self, a):
-        self.out = np.sqrt(a)
+    def forward(self, a, out=None):
+        self.out = np.sqrt(a, out=out)
         return self.out
 
     def backward(self, grad):
@@ -155,9 +155,9 @@ class Clip(Function):
 class Maximum(Function):
     """Elementwise maximum of two tensors (ties split evenly)."""
 
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a, self.b = a, b
-        return np.maximum(a, b)
+        return np.maximum(a, b, out=out)
 
     def backward(self, grad):
         a_wins = self.a > self.b
@@ -171,17 +171,21 @@ class Maximum(Function):
 
 
 class Identity(Function):
-    def forward(self, a):
-        return np.array(a, copy=True)
+    def forward(self, a, out=None):
+        if out is None:
+            out = np.empty(np.shape(a), dtype=np.result_type(a))
+        np.copyto(out, a)
+        return out
 
     def backward(self, grad):
         return (grad,)
 
 
 class Relu(Function):
-    def forward(self, a):
-        self.mask = a > 0
-        return a * self.mask
+    def forward(self, a, out=None):
+        mask = self.scratch(out is not None, "mask", np.shape(a), bool)
+        self.mask = np.greater(a, 0, out=mask)
+        return np.multiply(a, mask, out=out)
 
     def backward(self, grad):
         return (grad * self.mask,)
@@ -216,8 +220,8 @@ class Sigmoid(Function):
 
 
 class Tanh(Function):
-    def forward(self, a):
-        self.out = np.tanh(a)
+    def forward(self, a, out=None):
+        self.out = np.tanh(a, out=out)
         return self.out
 
     def backward(self, grad):

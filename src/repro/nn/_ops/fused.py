@@ -2,10 +2,11 @@
 
 Each fused op composes the *exact* arithmetic of its constituent ops in
 their original order — fusion here means one graph node (one dispatch,
-no intermediate Tensor, reusable scratch) rather than a new arithmetic
-kernel, which is what keeps replayed plans byte-identical to eager
-execution.  The backward methods replay the constituent backward
-formulas verbatim, innermost-last, so gradient bytes match too.
+no intermediate Tensor, temporaries from :meth:`Function.scratch`)
+rather than a new arithmetic kernel, which is what keeps replayed plans
+byte-identical to eager execution.  The backward methods replay the
+constituent backward formulas verbatim, innermost-last, so gradient
+bytes match too.
 
 These are registered alongside the primitives so they can also be used
 directly (they are ordinary :class:`Function` subclasses); the engine's
@@ -22,15 +23,30 @@ from ..autograd import Function, unbroadcast
 __all__ = ["FusedMulAdd", "FusedAddRelu", "FusedMulAddRelu"]
 
 
+def _scaled(ctx, a, b, c, out):
+    """``a * b`` (into kept scratch on replay), stashing the Mul/Add state."""
+    ctx.a, ctx.b = a, b
+    ctx.mul_shape = np.broadcast(a, b).shape
+    ctx.c_shape = np.shape(c)
+    tmp = ctx.scratch(
+        out is not None, "mul", ctx.mul_shape, np.result_type(a, b)
+    )
+    return np.multiply(a, b, out=tmp)
+
+
+def _relu_into(ctx, s, out):
+    """``relu(s)`` written over ``s`` itself, stashing the Relu mask."""
+    mask = ctx.scratch(out is not None, "mask", s.shape, bool)
+    ctx.mask = np.greater(s, 0, out=mask)
+    return np.multiply(s, mask, out=s)
+
+
 class FusedMulAdd(Function):
     """``(a * b) + c`` — the norm/affine tail (scale then shift)."""
 
-    def forward(self, a, b, c):
-        self.a, self.b = a, b
-        mul = a * b
-        self.mul_shape = mul.shape
-        self.c_shape = np.shape(c)
-        return mul + c
+    def forward(self, a, b, c, out=None):
+        mul = _scaled(self, a, b, c, out)
+        return np.add(mul, c, out=out)
 
     def backward(self, grad):
         # Add.backward first (outermost), then Mul.backward — the same
@@ -47,11 +63,9 @@ class FusedMulAdd(Function):
 class FusedAddRelu(Function):
     """``relu(a + b)`` — residual-join + activation."""
 
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a_shape, self.b_shape = np.shape(a), np.shape(b)
-        s = a + b
-        self.mask = s > 0
-        return s * self.mask
+        return _relu_into(self, np.add(a, b, out=out), out)
 
     def backward(self, grad):
         g = grad * self.mask
@@ -64,14 +78,9 @@ class FusedAddRelu(Function):
 class FusedMulAddRelu(Function):
     """``relu((a * b) + c)`` — affine tail feeding an activation."""
 
-    def forward(self, a, b, c):
-        self.a, self.b = a, b
-        mul = a * b
-        self.mul_shape = mul.shape
-        self.c_shape = np.shape(c)
-        s = mul + c
-        self.mask = s > 0
-        return s * self.mask
+    def forward(self, a, b, c, out=None):
+        mul = _scaled(self, a, b, c, out)
+        return _relu_into(self, np.add(mul, c, out=out), out)
 
     def backward(self, grad):
         g = grad * self.mask

@@ -10,9 +10,9 @@ from ..autograd import Function, unbroadcast
 class MatMul(Function):
     """Matrix product supporting 2-D and batched (stacked) operands."""
 
-    def forward(self, a, b):
+    def forward(self, a, b, out=None):
         self.a, self.b = a, b
-        return a @ b
+        return np.matmul(a, b, out=out)
 
     def backward(self, grad):
         a, b = self.a, self.b
@@ -39,20 +39,29 @@ class Linear(Function):
     for the deep CIFAR ResNets (hundreds of layers) on this CPU-only stack.
     """
 
-    def forward(self, x, weight, bias=None):
+    def forward(self, x, weight, bias=None, out=None):
         self.x, self.weight = x, weight
         self.has_bias = bias is not None
-        out = x @ weight.T
+        self.keep = out is not None
+        y = np.matmul(x, weight.T, out=out)
         if bias is not None:
-            out = out + bias
-        return out
+            y = np.add(y, bias, out=out)
+        return y
 
     def backward(self, grad):
-        grad_x = grad @ self.weight
-        grad_w = grad.reshape(-1, grad.shape[-1]).T @ self.x.reshape(
-            -1, self.x.shape[-1]
+        x, weight = self.x, self.weight
+        grad_2d = grad.reshape(-1, grad.shape[-1])
+        grad_x = np.matmul(
+            grad, weight,
+            out=self.scratch(self.keep, "grad_x", x.shape,
+                             np.result_type(grad, weight)),
+        )
+        grad_w = np.matmul(
+            grad_2d.T, x.reshape(-1, x.shape[-1]),
+            out=self.scratch(self.keep, "grad_w", weight.shape,
+                             np.result_type(grad, x)),
         )
         grads = [grad_x, grad_w]
         if self.has_bias:
-            grads.append(grad.reshape(-1, grad.shape[-1]).sum(axis=0))
+            grads.append(grad_2d.sum(axis=0))
         return tuple(grads[: len(self.parents)])

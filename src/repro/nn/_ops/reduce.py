@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..autograd import Function
@@ -26,11 +28,11 @@ def _expand_for_broadcast(grad, in_shape, axes, keepdims):
 
 
 class Sum(Function):
-    def forward(self, a, axis=None, keepdims=False):
+    def forward(self, a, axis=None, keepdims=False, out=None):
         self.in_shape = a.shape
         self.axes = _normalize_axis(axis, a.ndim)
         self.keepdims = keepdims
-        return a.sum(axis=self.axes, keepdims=keepdims)
+        return np.sum(a, axis=self.axes, keepdims=keepdims, out=out)
 
     def backward(self, grad):
         grad = _expand_for_broadcast(grad, self.in_shape, self.axes, self.keepdims)
@@ -38,12 +40,16 @@ class Sum(Function):
 
 
 class Mean(Function):
-    def forward(self, a, axis=None, keepdims=False):
+    def forward(self, a, axis=None, keepdims=False, out=None):
         self.in_shape = a.shape
         self.axes = _normalize_axis(axis, a.ndim)
         self.keepdims = keepdims
-        self.count = int(np.prod([a.shape[ax] for ax in self.axes]))
-        return a.mean(axis=self.axes, keepdims=keepdims)
+        self.count = math.prod(a.shape[ax] for ax in self.axes)
+        # For float arrays this is np.mean's own arithmetic (sum, then
+        # divide by the count) without its Python-level wrapper, which
+        # dominates the cost of small reductions.
+        total = np.sum(a, axis=self.axes, keepdims=keepdims, out=out)
+        return np.divide(total, self.count, out=out)
 
     def backward(self, grad):
         grad = _expand_for_broadcast(grad, self.in_shape, self.axes, self.keepdims)

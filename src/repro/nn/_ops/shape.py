@@ -47,10 +47,10 @@ class GetItem(Function):
 class Concat(Function):
     """Concatenate tensors along ``axis``."""
 
-    def forward(self, *arrays, axis=0):
+    def forward(self, *arrays, axis=0, out=None):
         self.axis = axis
         self.sizes = [a.shape[axis] for a in arrays]
-        return np.concatenate(arrays, axis=axis)
+        return np.concatenate(arrays, axis=axis, out=out)
 
     def backward(self, grad):
         splits = np.cumsum(self.sizes)[:-1]

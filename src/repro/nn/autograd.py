@@ -119,11 +119,43 @@ class Function:
     Subclasses implement ``forward(self, *arrays, **kwargs) -> ndarray`` and
     ``backward(self, grad_output) -> tuple`` returning one gradient array (or
     ``None``) per tensor input, in order.  Use :meth:`apply` to invoke.
+
+    **The** ``out=`` **contract.**  A forward that accepts an ``out``
+    keyword is the op's one kernel for both eager execution and plan
+    replay (:mod:`repro.engine`).  Eager calls pass nothing (``out=None``:
+    numpy allocates); a compiled plan passes a preallocated arena buffer
+    of the traced output's shape and dtype.  Given ``out``, the forward
+    must fully overwrite it (every element, whatever it held before),
+    return that same array, and stash exactly the ctx state the eager
+    call stashes, so ``backward`` cannot tell the two apart.  Temporaries
+    come from :meth:`scratch`, which a plan's ctx keeps across replays.
     """
 
     def __init__(self) -> None:
         self.parents: Tuple[Any, ...] = ()
         self.needs_input_grad: Tuple[bool, ...] = ()
+
+    def scratch(
+        self, keep: bool, name: str, shape: Tuple[int, ...], dtype, zeros: bool = False
+    ) -> np.ndarray:
+        """A temporary array for this op's kernels (masks, im2col, grads).
+
+        With ``keep`` false — an eager call — it is a fresh array, so
+        eager execution allocates and frees as it always has.  With
+        ``keep`` true — the forward was handed ``out=`` by a plan, which
+        reuses this ctx on every replay — the array is created on the
+        first call and returned again afterwards, so replay allocates
+        nothing.  ``zeros=True`` zero-fills on creation only; callers
+        that need zeros every call must clear the array themselves.
+        """
+        make = np.zeros if zeros else np.empty
+        if not keep:
+            return make(shape, dtype)
+        kept = self.__dict__.setdefault("_kept", {})
+        buf = kept.get(name)
+        if buf is None:
+            buf = kept[name] = make(shape, dtype)
+        return buf
 
     # -- to be provided by subclasses -------------------------------------
     def forward(self, *args: Any, **kwargs: Any) -> np.ndarray:

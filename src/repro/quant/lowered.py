@@ -36,9 +36,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn._ops.conv import _im2col, conv2d_output_shape
+from ..nn.autograd import Function, no_grad
 from ..nn.layers.conv import _pair
 from ..nn.module import Module
-from ..nn.tensor import Tensor, forbid_silent_downcast
+from ..nn.tensor import Tensor
 from .quantizer import integer_quantization_params, quantize_to_int
 
 __all__ = ["LoweredModule", "IntConv2d", "IntLinear"]
@@ -95,6 +96,21 @@ def _quantize_weight_per_channel(
         zero[o] = int(codes[o].min())
         scale[o] = step
     return codes.reshape(weight.shape), zero, scale
+
+
+class _IntKernel(Function):
+    """A lowered module's integer forward, run as a recorded op.
+
+    Going through ``Function.apply`` puts the forward on the tracer's
+    tape, so a compiled plan re-runs the module's integer kernel on every
+    replay's input (reading its current buffers) instead of freezing the
+    trace-time output as a constant.  Applied under ``no_grad``: the
+    output is constant with respect to the input, as integer codes carry
+    no gradient.
+    """
+
+    def forward(self, x, module):
+        return module._forward_exact(x)
 
 
 class LoweredModule(Module):
@@ -191,6 +207,10 @@ class LoweredModule(Module):
         self._operand_cache = (key, acc_dtype, w_mat)
         return acc_dtype, w_mat
 
+    def forward(self, x) -> Tensor:
+        with no_grad():
+            return _IntKernel.apply(x, self)
+
     def _quantize_input(self, x) -> Tuple[np.ndarray, float]:
         arr = np.asarray(x.data if isinstance(x, Tensor) else x)
         codes, step, _ = quantize_to_int(arr, self.act_bits, self.act_lo, self.act_hi)
@@ -277,11 +297,7 @@ class IntConv2d(LoweredModule):
             self.groups, self.out_channels // self.groups, self._gemm_terms()
         )
 
-    def forward(self, x) -> Tensor:
-        with forbid_silent_downcast("the integer conv requantization grid"):
-            return self._forward_exact(x)
-
-    def _forward_exact(self, x) -> Tensor:
+    def _forward_exact(self, x) -> np.ndarray:
         x_codes, x_step = self._quantize_input(x)
         if x_codes.ndim != 4 or x_codes.shape[1] != self.in_channels:
             raise ValueError(
@@ -300,8 +316,11 @@ class IntConv2d(LoweredModule):
         oh, ow = conv2d_output_shape(
             (h, w), self.kernel_size, self.stride, self.padding
         )
-        cols = _im2col(x_codes, kh, kw, *self.stride)
-        cols = cols.reshape(n, self.groups, self._gemm_terms(), oh * ow)
+        cols = np.empty(
+            (n, self.groups, self._gemm_terms(), oh * ow), dtype=acc_dtype
+        )
+        _im2col(x_codes, kh, kw, *self.stride,
+                out=cols.reshape(n, self.in_channels, kh, kw, oh, ow))
         acc = np.matmul(w_mat[None], cols)  # exact: see _choose_accumulator
         requant = (self.weight_scale * x_step).reshape(
             1, self.groups, self.out_channels // self.groups, 1
@@ -310,10 +329,10 @@ class IntConv2d(LoweredModule):
         out = out.reshape(n, self.out_channels, oh, ow)
         if self.bias is not None:
             out = out + self.bias.reshape(1, self.out_channels, 1, 1)
-        # float64 out (Tensor would downcast without dtype=): requantization
-        # must not perturb inputs of the *next* integer layer, whose
-        # rounding is sensitive at code boundaries.
-        return Tensor(out, dtype=np.float64)
+        # float64 out: requantization must not perturb inputs of the
+        # *next* integer layer, whose rounding is sensitive at code
+        # boundaries.
+        return out
 
     def symbolic_shape(self, shape, dtype):
         """Shape-propagation hook for :mod:`repro.analysis` tracing."""
@@ -387,11 +406,7 @@ class IntLinear(LoweredModule):
     def _as_gemm_matrix(self, codes: np.ndarray) -> np.ndarray:
         return codes.reshape(self.out_features, self.in_features)
 
-    def forward(self, x) -> Tensor:
-        with forbid_silent_downcast("the integer linear requantization grid"):
-            return self._forward_exact(x)
-
-    def _forward_exact(self, x) -> Tensor:
+    def _forward_exact(self, x) -> np.ndarray:
         x_codes, x_step = self._quantize_input(x)
         if x_codes.ndim != 2 or x_codes.shape[1] != self.in_features:
             raise ValueError(
@@ -403,7 +418,7 @@ class IntLinear(LoweredModule):
         out = acc * (self.weight_scale * x_step).reshape(1, -1)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1)
-        return Tensor(out, dtype=np.float64)
+        return out
 
     def symbolic_shape(self, shape, dtype):
         """Shape-propagation hook for :mod:`repro.analysis` tracing."""

@@ -46,20 +46,29 @@ def linear_quantize(
     bits: int,
     a_min: Optional[float] = None,
     a_max: Optional[float] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply Eq. 10 to a raw numpy array (no autograd).
 
     The dynamic range defaults to the array's own min/max, matching the
     paper's per-tensor dynamic quantization.  A constant array (zero range)
-    is returned unchanged — there is nothing to quantize.
+    is returned unchanged — there is nothing to quantize.  ``out``, when
+    given, receives the result and is returned: each stage of Eq. 10 is
+    staged through it, with the same rounding as the allocating form
+    (a Python-float step never widens a float32 array).
     """
     array = np.asarray(array)
     lo = float(array.min()) if a_min is None else float(a_min)
     hi = float(array.max()) if a_max is None else float(a_max)
     step = quantization_step(lo, hi, bits)
     if step == 0.0 or not math.isfinite(step):
-        return array.copy()
-    return (step * np.round(array / step)).astype(array.dtype)
+        if out is None:
+            return array.copy()
+        np.copyto(out, array)
+        return out
+    q = np.divide(array, step, out=out)
+    q = np.multiply(np.round(q, out=out), step, out=out)
+    return q if out is not None else q.astype(array.dtype, copy=False)
 
 
 def linear_quantize_per_channel(
@@ -86,30 +95,33 @@ def linear_quantize_per_channel(
 
 
 def linear_quantize_per_view(
-    array: np.ndarray, bits: int, views: int
+    array: np.ndarray, bits: int, views: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Eq. 10 applied independently to each of ``views`` equal batch chunks.
 
     A fused multi-view batch (two augmented views concatenated along axis 0)
     must quantize each view with *its own* dynamic range, otherwise the
     fused forward would differ from two separate forwards.  Chunk ``v`` of
-    the result is bit-for-bit ``linear_quantize(array[v], bits)``.
+    the result is bit-for-bit ``linear_quantize(array[v], bits)``.  ``out``
+    as in :func:`linear_quantize`.
     """
     array = np.asarray(array)
     if views < 1:
         raise ValueError(f"views must be >= 1, got {views}")
     if views == 1:
-        return linear_quantize(array, bits)
+        return linear_quantize(array, bits, out=out)
     n = array.shape[0]
     if n % views != 0:
         raise ValueError(
             f"batch of {n} samples does not split into {views} equal views"
         )
     chunk = n // views
-    out = np.empty_like(array)
+    if out is None:
+        out = np.empty_like(array)
     for v in range(views):
         sl = slice(v * chunk, (v + 1) * chunk)
-        out[sl] = linear_quantize(array[sl], bits)
+        linear_quantize(array[sl], bits, out=out[sl])
     return out
 
 
@@ -174,8 +186,8 @@ class _FakeQuantSTE(Function):
     occurs and the straight-through gradient needs no mask.
     """
 
-    def forward(self, a, bits, a_min=None, a_max=None):
-        return linear_quantize(a, bits, a_min, a_max)
+    def forward(self, a, bits, a_min=None, a_max=None, out=None):
+        return linear_quantize(a, bits, a_min, a_max, out=out)
 
     def backward(self, grad):
         return (grad,)
@@ -210,8 +222,8 @@ class _FakeQuantPerChannelSTE(Function):
 class _FakeQuantPerViewSTE(Function):
     """Per-view-chunk quantized forward, straight-through backward."""
 
-    def forward(self, a, bits, views):
-        return linear_quantize_per_view(a, bits, views)
+    def forward(self, a, bits, views, out=None):
+        return linear_quantize_per_view(a, bits, views, out=out)
 
     def backward(self, grad):
         return (grad,)

@@ -84,6 +84,15 @@ def test_mutated_plan_is_caught(graph, liveness_ignoring_planner):
     assert findings[0].file == "<plan:mutated>"
 
 
+def test_plan_without_buffer_fields_fails_loudly(graph):
+    # A plan that stops exposing its buffer assignment must not verify
+    # vacuously against empty maps.
+    plan = compile_plan(graph, training=False)
+    del plan._planned_buffers
+    with pytest.raises(AttributeError):
+        verify_plan(plan)
+
+
 def test_compile_plan_verify_kwarg(graph, liveness_ignoring_planner):
     with pytest.raises(PlanError, match="AUD006"):
         compile_plan(graph, training=False, verify=True)

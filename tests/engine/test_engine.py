@@ -158,3 +158,28 @@ def test_distinct_signatures_get_distinct_plans():
     assert run("a", p_a, arr(5)).replayed
     assert run("b", p_b, arr(6, shape=(2, 2))).replayed
     assert engine.stats()["plan_hits"] == 2
+
+
+def test_retraces_do_not_accumulate_buffers():
+    # Each plan owns its arena, so a retraced plan's buffers are freed
+    # with it: the bytes held after K retraces match those after one.
+    import gc
+    import tracemalloc
+
+    engine = ExecutionEngine(training=False)
+    step = make_step(engine, Parameter(arr(1, shape=(64, 256))),
+                     training=False)
+    x = arr(2, shape=(64, 256))  # one 64 KiB float32 buffer per slot
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(6):
+            engine.invalidate()
+            step(x)  # (re)trace
+            assert step(x).replayed
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert engine.stats()["retraces"] == 5
+    assert held[-1] - held[1] < x.nbytes

@@ -91,3 +91,32 @@ def test_eager_engine_mode_serves_without_plans(rng):
     assert out.shape == (3,)
     assert stats == {"plan_hits": 0, "plan_misses": 0,
                      "retraces": 0, "fallbacks": 0}
+
+
+def test_converted_int8_encoder_replays_every_batch(rng):
+    # Lowered int8 layers run as recorded ops, so replay re-runs their
+    # integer kernels on each batch instead of serving the traced batch's
+    # activations again: every row of every same-shape batch is fresh.
+    from repro.models import resnet18
+    from repro.quant import calibrate, convert, prepare
+
+    model = resnet18(stem="cifar", width_multiplier=0.0625,
+                     rng=np.random.default_rng(0), norm="batch")
+    prepare(model)
+    calibrate(model, [rng.random((8, 3, 8, 8), dtype=np.float32)
+                      for _ in range(2)], bits=8)
+    convert(model, input_shape=(2, 3, 8, 8))
+    images = rng.random((8, 3, 8, 8), dtype=np.float32)
+    with nn.no_grad():
+        eager = np.concatenate([
+            np.asarray(model(nn.Tensor(images[i:i + 4], dtype=np.float64)).data)
+            for i in (0, 4)
+        ])
+    reg = ModelRegistry()
+    reg.publish("int8", model)
+    with EmbeddingService(reg, "int8", max_batch_size=4,
+                          max_wait_ms=1000.0) as svc:
+        served = np.stack(svc.embed_many(list(images), timeout=60.0))
+        stats = svc.engine.stats()
+    assert stats["plan_misses"] == 1 and stats["plan_hits"] == 1
+    assert served.tobytes() == eager.tobytes()
