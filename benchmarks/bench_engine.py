@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import pathlib
+import platform
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -103,6 +104,15 @@ def _stats(trainer: ContrastiveQuantTrainer, engine: str,
     }
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def bench_variant(variant: CQVariant, batch: int, steps: int,
                   warmup: int, repeats: int) -> Dict[str, object]:
     """Traced and eager trainers timed in interleaved rounds.
@@ -175,6 +185,10 @@ def run(steps: int, warmup: int, batch: int,
             "warmup": warmup,
             "repeats": repeats,
             "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "variants": results,
     }

@@ -136,7 +136,8 @@ class Record:
         self.ctx = ctx
         self.args: Tuple[Any, ...] = args
         self.kwargs: Dict[str, Any] = kwargs
-        self.out = out  # the Tensor produced during the trace
+        # The Tensor produced during the trace; None once compiled.
+        self.out = out
         self.requires_grad: bool = requires_grad
 
     def __repr__(self) -> str:

@@ -25,7 +25,9 @@ Compilation has three stages:
 There is one kernel per op: eager execution and replay run the same
 forward and backward.  A plan keeps its ctx objects across replays, so
 the scratch an op takes from ``Function.scratch`` (masks, im2col
-columns, conv/linear gradient buffers) is allocated once.  Ops without
+columns, conv/linear gradient buffers) is allocated once.  It keeps none
+of the traced step's activations: once compiled, every record's ``out``
+and every ctx's ``parents`` are released.  Ops without
 ``out=`` (the view ops, ``LogSumExp``, ...) re-run their forward into a
 fresh array.  Any compilation surprise raises :class:`PlanError` (a
 :class:`TraceError`), which the engine converts into a permanent eager
@@ -376,6 +378,7 @@ class Plan:
                         seen.add(id(ref.param))
                         params.append(ref.param)
             self._version_guard = tuple((p, p.version) for p in params)
+        self._release_trace()
 
     # -- compilation ------------------------------------------------------
     def _compile_forward(self) -> None:
@@ -428,6 +431,20 @@ class Plan:
                 ("op", gid, ctx.backward, parent_gids, ctx.needs_input_grad)
             )
         self._backward_entries = entries
+
+    def _release_trace(self) -> None:
+        """Drop the traced step's activations, which replay never reads.
+
+        Each record's ``out`` Tensor, and each ctx's ``parents`` (the
+        Tensors it was applied to, which link back through the whole
+        traced step), would otherwise stay alive as long as the plan.
+        Backward reads only ``len(self.parents)``, so the parents become
+        placeholders of the same length.
+        """
+        for record in self.records:
+            record.out = None
+            ctx = record.ctx
+            ctx.parents = (None,) * len(ctx.parents)
 
     # -- validity ---------------------------------------------------------
     def stale(self) -> bool:

@@ -1,10 +1,21 @@
 """2-D convolution via im2col, with stride, padding, and groups support.
 
-Groups are handled fully vectorised: the im2col buffer is laid out as
-``(N, groups, C_in/groups * kh * kw, OH * OW)`` and contracted against the
-weight viewed as ``(groups, C_out/groups, C_in/groups * kh * kw)`` with a
-single batched matmul.  Depthwise convolution (MobileNetV2) is therefore as
-fast as a grouped GEMM rather than a Python loop over channels.
+The im2col buffer is batch-inner: ``(groups, k, N * OH * OW)`` with
+``k = C_in/groups * kh * kw``, so every image's patches for one group sit
+side by side in one matrix.  Against the weight viewed as
+``(groups, C_out/groups, k)`` that makes each backward product one GEMM per
+group over all images and positions:
+
+- ``grad_w = grad_t @ cols.T``, where ``grad_t`` is the upstream grad
+  copied once into ``(groups, C_out/groups, N * OH * OW)``;
+- ``grad_cols = w.T @ grad_t``, scattered back by :func:`_col2im`.
+
+The forward writes straight into the ``(N, C_out, OH, OW)`` output through
+a strided batched matmul over the same buffer (each image's columns are a
+BLAS-compatible strided slice).  :func:`_im2col` and :func:`_col2im` work on
+``(N, C, kh, kw, OH, OW)`` views, which for this buffer are transposes.
+Depthwise convolution (MobileNetV2) is therefore a grouped GEMM rather
+than a Python loop over channels.
 """
 
 from __future__ import annotations
@@ -61,6 +72,17 @@ def _col2im(
     return out
 
 
+def _image_view(
+    cols: np.ndarray, n: int, kh: int, kw: int, oh: int, ow: int
+) -> np.ndarray:
+    """The batch-inner ``(g, k, N*OH*OW)`` buffer as (N, C, kh, kw, OH, OW).
+
+    A transposed view (never a copy), so :func:`_im2col` writes and
+    :func:`_col2im` reads the buffer itself.
+    """
+    return cols.reshape(-1, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+
+
 class Conv2d(Function):
     """Grouped 2-D cross-correlation (deep-learning ``conv``)."""
 
@@ -92,19 +114,19 @@ class Conv2d(Function):
             x = xp
         self.padded_shape = x.shape
 
-        cols = self.scratch(
-            keep, "cols", (n, groups, c_in_g * kh * kw, oh * ow), x.dtype
-        )
-        _im2col(x, kh, kw, *stride, out=cols.reshape(n, c_in, kh, kw, oh, ow))
-        w_mat = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
+        k, p = c_in_g * kh * kw, oh * ow
+        cols = self.scratch(keep, "cols", (groups, k, n * p), x.dtype)
+        _im2col(x, kh, kw, *stride, out=_image_view(cols, n, kh, kw, oh, ow))
+        w_mat = weight.reshape(groups, c_out // groups, k)
         if out is None:
             out = np.empty(
                 (n, c_out, oh, ow), dtype=np.result_type(weight, cols)
             )
-        # (N, g, C_out/g, OH*OW), written straight into the output.
+        # (N, g, C_out/g, OH*OW), written straight into the output; image
+        # n's columns are the strided slice cols[:, :, n*P:(n+1)*P].
         np.matmul(
-            w_mat[None], cols,
-            out=out.reshape(n, groups, c_out // groups, oh * ow),
+            w_mat[None], cols.reshape(groups, k, n, p).transpose(2, 0, 1, 3),
+            out=out.reshape(n, groups, c_out // groups, p),
         )
         if bias is not None:
             np.add(out, bias.reshape(1, c_out, 1, 1), out=out)
@@ -117,17 +139,23 @@ class Conv2d(Function):
         groups = self.groups
         c_out_g = c_out // groups
         kh, kw = self.weight.shape[2], self.weight.shape[3]
-        c_in_g = self.weight.shape[1]
+        k = self.weight.shape[1] * kh * kw
+        p = oh * ow
         sh, sw = self.stride
         ph, pw = self.padding
         keep = self.keep
 
-        grad_mat = grad.reshape(n, groups, c_out_g, oh * ow)
+        # The upstream grad, batch-inner like the columns: (g, C_out/g, N*P).
+        grad_t = self.scratch(keep, "grad_t", (groups, c_out_g, n * p),
+                              grad.dtype)
+        np.copyto(
+            grad_t.reshape(groups, c_out_g, n, p),
+            grad.reshape(n, groups, c_out_g, p).transpose(1, 2, 0, 3),
+        )
 
-        # dL/dW: contract over batch and spatial positions.
-        k = c_in_g * kh * kw
-        grad_w = np.einsum(
-            "ngop,ngkp->gok", grad_mat, self.cols,
+        # dL/dW: one GEMM per group over all images and positions.
+        grad_w = np.matmul(
+            grad_t, self.cols.transpose(0, 2, 1),
             out=self.scratch(keep, "grad_w", (groups, c_out_g, k),
                              np.result_type(grad, self.cols)),
         ).reshape(self.weight.shape)
@@ -135,12 +163,12 @@ class Conv2d(Function):
         # dL/dcols -> dL/dx via col2im.
         w_mat = self.weight.reshape(groups, c_out_g, k)
         grad_cols = np.matmul(
-            np.swapaxes(w_mat, 1, 2)[None], grad_mat,
-            out=self.scratch(keep, "grad_cols", (n, groups, k, oh * ow),
+            w_mat.transpose(0, 2, 1), grad_t,
+            out=self.scratch(keep, "grad_cols", (groups, k, n * p),
                              np.result_type(self.weight, grad)),
-        ).reshape(n, groups * c_in_g, kh, kw, oh, ow)
+        )
         grad_x = _col2im(
-            grad_cols, kh, kw, sh, sw,
+            _image_view(grad_cols, n, kh, kw, oh, ow), kh, kw, sh, sw,
             out=self.scratch(keep, "grad_x", self.padded_shape,
                              grad_cols.dtype),
         )

@@ -65,7 +65,10 @@ class Tensor:
         ``backward()`` will populate ``.grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_ctx", "_retain_grad")
+    # ``__weakref__`` lets tests prove that a tensor was freed.
+    __slots__ = (
+        "data", "grad", "requires_grad", "_ctx", "_retain_grad", "__weakref__"
+    )
 
     def __init__(
         self,

@@ -1,5 +1,8 @@
 """ExecutionEngine cache lifecycle: miss, hit, retrace, veto, fallback."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,3 +186,36 @@ def test_retraces_do_not_accumulate_buffers():
         tracemalloc.stop()
     assert engine.stats()["retraces"] == 5
     assert held[-1] - held[1] < x.nbytes
+
+
+def test_compiled_plan_keeps_no_trace_time_activations():
+    engine = ExecutionEngine()
+    param = Parameter(arr(1))
+    traced = []
+
+    def step(x_array):
+        x = Tensor(x_array)
+
+        def eager():
+            hidden = F.relu(F.mul(x, param))
+            traced.append(weakref.ref(hidden))
+            loss = F.sum(F.mul(hidden, param))
+            run_backward(loss)
+            return loss, {"loss": loss}
+
+        return engine.execute(SIG, {"x": x}, None, eager)
+
+    assert not step(arr(2)).replayed
+    assert engine.stats()["plan_misses"] == 1
+    gc.collect()
+    assert traced[0]() is None  # neither record.out nor ctx.parents hold it
+
+    # ...and the plan still replays the eager bytes without them.
+    param.grad = None
+    result = step(arr(3))
+    assert result.replayed
+    shadow = Parameter(param.data.copy())
+    loss = F.sum(F.mul(F.relu(F.mul(Tensor(arr(3)), shadow)), shadow))
+    run_backward(loss)
+    assert result.root.tobytes() == loss.data.tobytes()
+    assert param.grad.tobytes() == shadow.grad.tobytes()

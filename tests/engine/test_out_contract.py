@@ -32,12 +32,13 @@ def positive(x):
     return F.add(F.abs(x), 0.5)
 
 
-def conv(stride=1, padding=0, groups=1, bias=True):
+def conv(stride=1, padding=0, groups=1, bias=True, img="img"):
     def build(x, p):
         # Scaling by a Parameter first makes grad_x reach a checked grad.
-        return F.conv2d(F.mul(x, p["img"]), p["w%d" % groups],
-                        p["cb"] if bias else None, stride=stride,
-                        padding=padding, groups=groups)
+        weight = p["w%d" % groups]
+        return F.conv2d(F.mul(x, p[img]), weight,
+                        p["cb%d" % weight.shape[0]] if bias else None,
+                        stride=stride, padding=padding, groups=groups)
     return build
 
 
@@ -75,6 +76,10 @@ CASES = {
     "Conv2d-padded-strided": ("Conv2d", IMG_SHAPE, conv(stride=2, padding=1)),
     "Conv2d-grouped-nobias": ("Conv2d", IMG_SHAPE,
                               conv(padding=1, groups=2, bias=False)),
+    "Conv2d-depthwise": ("Conv2d", IMG_SHAPE,
+                         conv(stride=2, padding=1, groups=IMG_SHAPE[1])),
+    "Conv2d-single-image": ("Conv2d", (1,) + IMG_SHAPE[1:],
+                            conv(padding=1, img="img1")),
     "FusedMulAdd": ("FusedMulAdd", X_SHAPE,
                     lambda x, p: FusedMulAdd.apply(x, p["a"], p["row"])),
     "FusedAddRelu": ("FusedAddRelu", X_SHAPE,
@@ -100,7 +105,9 @@ def make_params(seed=3):
         "a": param(*X_SHAPE), "row": param(X_SHAPE[1]),
         "m": param(X_SHAPE[1], 5), "lw": param(3, X_SHAPE[1]),
         "lb": param(3), "w1": param(6, 4, 3, 3), "w2": param(6, 2, 3, 3),
-        "cb": param(6), "img": param(*IMG_SHAPE),
+        "cb6": param(6), "img": param(*IMG_SHAPE),
+        "w4": param(4, 1, 3, 3), "cb4": param(4),
+        "img1": param(1, *IMG_SHAPE[1:]),
     }
 
 

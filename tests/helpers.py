@@ -115,3 +115,33 @@ def conv2d_reference(x, weight, bias, stride, padding, groups=1):
             if bias is not None:
                 out[b, oc] += bias[oc]
     return out
+
+
+def conv2d_grads_reference(x, weight, grad, stride, padding, groups=1):
+    """Naive loop gradients of conv2d: ``(grad_x, grad_w, grad_b)``.
+
+    ``grad`` is the upstream gradient of :func:`conv2d_reference`'s
+    output; every output position's patch is visited once and its
+    products accumulated by hand, with no GEMM or einsum.
+    """
+    n, c_in, h, w = x.shape
+    c_out, c_in_g, kh, kw = weight.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(weight)
+    group_out = c_out // groups
+    for b in range(n):
+        for oc in range(c_out):
+            g = oc // group_out
+            chans = slice(g * c_in_g, (g + 1) * c_in_g)
+            for i in range(grad.shape[2]):
+                for j in range(grad.shape[3]):
+                    rows = slice(i * sh, i * sh + kh)
+                    cols = slice(j * sw, j * sw + kw)
+                    up = grad[b, oc, i, j]
+                    grad_w[oc] += up * xp[b, chans, rows, cols]
+                    grad_xp[b, chans, rows, cols] += up * weight[oc]
+    grad_x = grad_xp[:, :, ph : ph + h, pw : pw + w]
+    return grad_x, grad_w, grad.sum(axis=(0, 2, 3))
